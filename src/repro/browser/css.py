@@ -7,6 +7,12 @@ The style stage's compute cost in :mod:`repro.browser.render` is
 proportional to the selector-matching work counted here, which is how
 CSS-heavy pages become slower to load than structurally similar
 CSS-light ones.
+
+The *modelled* work is the naive elements x rules recalculation; the
+matcher itself does less.  Like real engines' rule maps, it buckets
+rules by their key (rightmost) simple selector and fully matches an
+element only against the buckets its id, classes and tag select, plus
+the rules whose key has none of the three.
 """
 
 from __future__ import annotations
@@ -60,7 +66,7 @@ class Selector:
         """Match against a node given its ancestor chain (outermost first)."""
         if not self.key.matches(node):
             return False
-        remaining = list(self.parts[:-1])
+        remaining = self.parts[:-1]
         if not remaining:
             return True
         position = 0
@@ -141,7 +147,11 @@ class StyleMatchStats:
 
     Attributes:
         elements: Element nodes visited.
-        candidate_checks: (element, rule) key-selector checks performed.
+        candidate_checks: (element, rule) key-selector checks of the
+            naive pass, i.e. elements x rules.  This is a calibrated
+            cost-model input, so it keeps that meaning although the
+            indexed matcher checks far fewer pairs: it is computed, not
+            enumerated.
         matches: Rules that fully matched some element.
         applied_declarations: Total declarations applied.
     """
@@ -152,35 +162,77 @@ class StyleMatchStats:
     applied_declarations: int
 
 
+def _bucket(key: SimpleSelector) -> tuple[str, str] | None:
+    """The rule-map bucket of a key selector: its id, else one of its
+    classes, else its tag; ``None`` for the universal bucket.
+
+    Every part of the key must match for the rule to match, so any one
+    part is a sound bucket; the most selective one keeps buckets small.
+    """
+    if key.element_id is not None:
+        return ("id", key.element_id)
+    if key.classes:
+        return ("class", min(key.classes))
+    if key.tag is not None:
+        return ("tag", key.tag)
+    return None
+
+
 def match_styles(root: DomNode, sheet: Stylesheet) -> StyleMatchStats:
     """Run selector matching over a whole document.
 
-    This is a straightforward O(elements x rules) recalculation -- the
-    cost structure real engines approximate with bucketed rule maps.
+    The sheet's rules are indexed once by :func:`_bucket`; each element
+    runs the full :meth:`Selector.matches` only on the rules of its id,
+    class and tag buckets and the universal bucket, in rule order.  The
+    counts equal the naive elements x rules pass exactly (``#text`` and
+    other ``#``-pseudo nodes are not elements), and
+    ``candidate_checks`` is that pass's count, ``elements x rules``.
     The returned stats feed the style-phase cost model.
     """
+    rules = sheet.rules
+    buckets: dict[tuple[str, str] | None, list[int]] = {}
+    for index, rule in enumerate(rules):
+        buckets.setdefault(_bucket(rule.selector.key), []).append(index)
+    universal = buckets.get(None, [])
+
+    def candidates(node: DomNode) -> list[StyleRule]:
+        # Every rule sits in one bucket, so distinct keys draw each
+        # candidate once; a repeated class name must not repeat a key.
+        keys = [("tag", node.tag)]
+        element_id = node.attributes.get("id")
+        if element_id is not None:
+            keys.append(("id", element_id))
+        class_names = dict.fromkeys(node.attributes.get("class", "").split())
+        keys.extend(("class", name) for name in class_names)
+        indices = list(universal)
+        for key in keys:
+            indices.extend(buckets.get(key, ()))
+        return [rules[index] for index in sorted(indices)]
+
     elements = 0
-    candidate_checks = 0
     matches = 0
     applied = 0
+    ancestors: list[DomNode] = []
 
-    def visit(node: DomNode, ancestors: list[DomNode]) -> None:
-        nonlocal elements, candidate_checks, matches, applied
-        if not node.is_text and not node.tag.startswith("#"):
+    def visit(node: DomNode) -> None:
+        nonlocal elements, matches, applied
+        is_element = not node.is_text and not node.tag.startswith("#")
+        if is_element:
             elements += 1
-            for rule in sheet.rules:
-                candidate_checks += 1
+            for rule in candidates(node):
                 if rule.selector.matches(node, ancestors):
                     matches += 1
                     applied += rule.declarations
-            ancestors = ancestors + [node]
+            ancestors.append(node)
         for child in node.children:
-            visit(child, ancestors)
+            visit(child)
+        if is_element:
+            ancestors.pop()
 
-    visit(root, [])
+    visit(root)
     return StyleMatchStats(
         elements=elements,
-        candidate_checks=candidate_checks,
+        candidate_checks=elements * len(rules),
         matches=matches,
         applied_declarations=applied,
     )

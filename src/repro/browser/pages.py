@@ -19,9 +19,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
-from repro.browser.css import Stylesheet
+from repro.browser.css import StyleMatchStats, Stylesheet, match_styles
 from repro.browser.dom import DomNode, PageFeatures, census
 from repro.browser.html import parse_html
 
@@ -58,7 +58,12 @@ class PageProfile:
 
 @dataclass(frozen=True)
 class WebPage:
-    """One generated page: markup, stylesheet and cached census."""
+    """One generated page: markup, stylesheet and cached census.
+
+    ``dom`` and ``stylesheet`` are mutable types but must not be
+    changed once the page is built: :attr:`style_stats` and
+    :attr:`image_count` memoize passes over them.
+    """
 
     profile: PageProfile
     html: str
@@ -70,6 +75,20 @@ class WebPage:
     def name(self) -> str:
         """Page name."""
         return self.profile.name
+
+    @cached_property
+    def style_stats(self) -> StyleMatchStats:
+        """The page's selector-matching work, computed on first use.
+
+        Kept in the instance ``__dict__``, so it stays out of equality
+        and ``repr`` and travels with a pickled page.
+        """
+        return match_styles(self.dom, self.stylesheet)
+
+    @cached_property
+    def image_count(self) -> int:
+        """``<img>`` elements in the page, counted on first use."""
+        return len(self.dom.find_all("img"))
 
 
 _CLASS_POOL = (

@@ -10,7 +10,8 @@ are derived from the *parsed document itself*:
 * **parse** -- proportional to the markup size (DOM nodes built).
 * **style** -- proportional to the selector-matching work measured by
   :func:`repro.browser.css.match_styles` (elements x rules candidate
-  checks plus applied declarations).
+  checks plus applied declarations), computed once per page and kept
+  on it (:attr:`~repro.browser.pages.WebPage.style_stats`).
 * **layout** -- proportional to element count, with extra weight for
   ``div`` blocks (box-tree construction and reflow).
 * **paint** -- proportional to element count and image count, with the
@@ -28,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from repro.browser.css import StyleMatchStats, match_styles
+from repro.browser.css import StyleMatchStats
 from repro.browser.pages import WebPage, page_by_name
 from repro.sim.task import WorkPhase
 
@@ -101,10 +102,10 @@ def build_render_workload(
         page's measured structure.
     """
     costs = cost_model or RenderCostModel()
-    stats = match_styles(page.dom, page.stylesheet)
+    stats = page.style_stats
     features = page.features
     media = page.profile.media_weight
-    images = len(page.dom.find_all("img"))
+    images = page.image_count
 
     parse_instr = costs.parse_per_node * features.dom_nodes
     style_instr = (

@@ -168,6 +168,8 @@ class TelemetryStore:
         self.batch_size = batch_size
         self.partition = self.root / fingerprint
         self.partition.mkdir(parents=True, exist_ok=True)
+        #: Torn final lines skipped by the latest :meth:`iter_records`.
+        self.torn_lines = 0
 
     def shard_path(self, shard: int) -> Path:
         """The JSONL file owned by one shard's writer."""
@@ -184,13 +186,28 @@ class TelemetryStore:
         return sorted(self.partition.glob("shard-*.jsonl"))
 
     def iter_records(self) -> Iterator[dict[str, Any]]:
-        """Every stored record, shard-major then append order."""
+        """Every stored record, shard-major then append order.
+
+        A shard's final line that lacks its newline and does not parse
+        is a write torn by a crash: it is skipped and counted in
+        :attr:`torn_lines`.  Any other undecodable line raises
+        :class:`json.JSONDecodeError`.
+        """
+        self.torn_lines = 0
         for path in self.shard_files():
             with open(path, encoding="utf-8") as handle:
-                for line in handle:
-                    line = line.strip()
-                    if line:
-                        yield json.loads(line)
+                for raw in handle:
+                    line = raw.strip()
+                    if not line:
+                        continue
+                    try:
+                        record = json.loads(line)
+                    except json.JSONDecodeError:
+                        if raw.endswith("\n"):
+                            raise
+                        self.torn_lines += 1
+                        continue
+                    yield record
 
     def record_count(self) -> int:
         """Total records across all shard files."""

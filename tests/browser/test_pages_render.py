@@ -1,7 +1,10 @@
 """Page generator and render-pipeline tests."""
 
+import pickle
+
 import pytest
 
+from repro.browser import pages as pages_module
 from repro.browser.browser import browser_tasks
 from repro.browser.pages import (
     HIGH_INTENSITY_PAGES,
@@ -105,6 +108,45 @@ class TestRenderWorkload:
 
     def test_cached_lookup_returns_same_workload(self):
         assert render_workload_for("reddit") is render_workload_for("reddit")
+
+
+class TestStyleMemo:
+    def test_style_pass_runs_once_per_page(self, monkeypatch):
+        calls = []
+        original = pages_module.match_styles
+
+        def counting(root, sheet):
+            calls.append(root)
+            return original(root, sheet)
+
+        monkeypatch.setattr(pages_module, "match_styles", counting)
+        page = build_page(page_by_name("bbc").profile)
+        first = browser_tasks(page)
+        for _ in range(3):
+            assert browser_tasks(page) == first
+        assert calls == [page.dom]
+
+    def test_cost_model_override_still_applies(self):
+        page = page_by_name("cnn")
+        base = browser_tasks(page)
+        costly = browser_tasks(
+            page, cost_model=RenderCostModel(style_per_check=3_000.0)
+        )
+        assert costly.main.phases[1].instructions > base.main.phases[1].instructions
+        assert costly.main.phases[0] == base.main.phases[0]
+        assert browser_tasks(page) == base
+
+    def test_memo_leaves_equality_repr_and_pickling_alone(self):
+        page = page_by_name("ebay")
+        memo = {"style_stats": page.style_stats, "image_count": page.image_count}
+        fresh = build_page(page.profile)
+        assert not memo.keys() & vars(fresh).keys()
+        assert fresh == page
+        assert repr(fresh) == repr(page)
+        copy = pickle.loads(pickle.dumps(page))
+        assert copy == page
+        assert {key: vars(copy)[key] for key in memo} == memo
+        assert copy.image_count == len(page.dom.find_all("img"))
 
 
 class TestBrowserTasks:

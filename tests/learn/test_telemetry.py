@@ -132,6 +132,32 @@ class TestStorePartitioning:
         assert devices == ["s0-a", "s0-b", "s1-a"]
         assert store.record_count() == 3
 
+    def test_torn_final_line_is_skipped_and_counted(self, tmp_path):
+        store = TelemetryStore(tmp_path, fingerprint="cafe", batch_size=1)
+        for shard in (0, 1):
+            with store.writer(shard=shard) as writer:
+                writer.append(_record(device=f"s{shard}-a"))
+                writer.append(_record(device=f"s{shard}-b"))
+            path = store.shard_path(shard)
+            path.write_bytes(path.read_bytes()[:-7])
+        devices = [record["device_id"] for record in store.iter_records()]
+        assert devices == ["s0-a", "s1-a"]
+        assert store.torn_lines == 2
+        assert store.record_count() == 2
+        assert store.torn_lines == 2
+
+    def test_corrupt_complete_line_is_an_error(self, tmp_path):
+        store = TelemetryStore(tmp_path, fingerprint="cafe", batch_size=1)
+        with store.writer() as writer:
+            writer.append(_record(device="a"))
+            writer.append(_record(device="b"))
+        path = store.shard_path(0)
+        first, second = path.read_text().splitlines()
+        for lines in ([first[:-7], second], [first, second[:-7]]):
+            path.write_text("\n".join(lines) + "\n")
+            with pytest.raises(json.JSONDecodeError):
+                list(store.iter_records())
+
     def test_export_npz_encodes_missing_outcomes_as_nan(self, tmp_path):
         store = TelemetryStore(tmp_path, fingerprint="cafe", batch_size=1)
         with store.writer() as writer:
