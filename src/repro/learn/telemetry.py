@@ -20,7 +20,12 @@ Records land under ``<root>/<CALIBRATION_FINGERPRINT>/shard-NNNN.jsonl``:
   ``O_APPEND`` JSONL safe without locks);
 * **fsync batching** -- a writer buffers ``batch_size`` encoded lines
   and issues one ``write + flush + fsync`` per batch, amortizing the
-  durability cost across records instead of paying it per decision.
+  durability cost across records instead of paying it per decision;
+* **torn tails** -- a crash mid-batch can leave a shard's final line
+  without its newline.  Reader and writer treat such a tail alike: if
+  it parses it is a record (the writer terminates it on open), if not
+  it is skipped (the writer cuts it back to the last newline on open),
+  so appends after a crash never bury a fragment mid-file.
 
 JSON floats round-trip exactly (``repr`` produces the shortest string
 that parses back to the same double), so a replayed record reproduces
@@ -42,6 +47,9 @@ TELEMETRY_SCHEMA = "repro-decision-telemetry/1"
 
 #: Records buffered per fsync batch.
 DEFAULT_BATCH_SIZE = 64
+
+#: Block size for scanning a shard backwards to its last newline.
+_TAIL_BLOCK_BYTES = 65536
 
 #: Fields every record must carry (the nullable outcome fields are
 #: optional; ``None`` means the caller never simulated the decision).
@@ -97,11 +105,50 @@ def decision_record(
     }
 
 
+def _seal_torn_tail(path: Path) -> None:
+    """Make a shard end on a newline before anything appends to it.
+
+    An unterminated final line that parses is a complete record whose
+    newline was lost: it gets its newline.  Anything else is a torn
+    write: the file is truncated back to its last newline.  Both match
+    what :meth:`TelemetryStore.iter_records` makes of the same tail.
+    """
+    try:
+        handle = open(path, "r+b")
+    except FileNotFoundError:
+        return
+    with handle:
+        end = handle.seek(0, os.SEEK_END)
+        if end == 0:
+            return
+        handle.seek(end - 1)
+        if handle.read(1) == b"\n":
+            return
+        start = end
+        tail = b""
+        while start > 0 and b"\n" not in tail:
+            block = min(start, _TAIL_BLOCK_BYTES)
+            start -= block
+            handle.seek(start)
+            tail = handle.read(block) + tail
+        keep = tail.rfind(b"\n") + 1
+        try:
+            json.loads(tail[keep:].decode("utf-8"))
+        except ValueError:
+            handle.truncate(start + keep)
+        else:
+            handle.seek(end)
+            handle.write(b"\n")
+        handle.flush()
+        os.fsync(handle.fileno())
+
+
 class TelemetryWriter:
     """Single-shard append handle with fsync batching.
 
     Not thread-safe by design: one writer per shard partition is the
-    contract that keeps the store lock-free.
+    contract that keeps the store lock-free.  Opening a shard seals a
+    torn tail first (see :func:`_seal_torn_tail`).
     """
 
     def __init__(self, path: Path, batch_size: int = DEFAULT_BATCH_SIZE) -> None:
@@ -112,6 +159,7 @@ class TelemetryWriter:
         self.records_written = 0
         self.sync_batches = 0
         self._buffer: list[str] = []
+        _seal_torn_tail(path)
         self._file = open(path, "a", encoding="utf-8")
 
     def append(self, record: dict[str, Any]) -> None:
@@ -190,7 +238,8 @@ class TelemetryStore:
 
         A shard's final line that lacks its newline and does not parse
         is a write torn by a crash: it is skipped and counted in
-        :attr:`torn_lines`.  Any other undecodable line raises
+        :attr:`torn_lines` (a writer reopening the shard cuts it off).
+        Any other undecodable line raises
         :class:`json.JSONDecodeError`.
         """
         self.torn_lines = 0

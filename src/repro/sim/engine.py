@@ -72,14 +72,6 @@ _MAX_TRACE_PREALLOC = 262144
 #: instance serves every step of every run.
 _IDLE_ACTIVITY = CoreActivity(utilization=0.0, effective_capacitance_f=0.0)
 
-#: Cross-run cache of cache/bus/CPI equilibria, used by the fast path.
-#: The equilibrium is a pure function of the (frozen) cache and memory
-#: models, the operating point, and the running phases, so solutions
-#: transfer between runs -- campaigns re-simulate the same combos over
-#: and over.  Values are stored positionally (task ids stripped) and
-#: are exactly what :func:`_solve_equilibrium` returns.
-_EQUILIBRIUM_CACHE: dict = {}
-_EQUILIBRIUM_CACHE_CAP = 4096
 
 class _LruCache:
     """Insertion-ordered LRU cache with hit/miss/evict counters.
@@ -138,6 +130,15 @@ class _LruCache:
             "evictions": self.evictions,
         }
 
+
+#: Cross-run cache of cache/bus/CPI equilibria, used by the fast path.
+#: The equilibrium is a pure function of the (frozen) cache and memory
+#: models, the operating point, and the running phases, so solutions
+#: transfer between runs -- campaigns re-simulate the same combos over
+#: and over.  Values are stored positionally (task ids stripped) and
+#: are exactly what :func:`_solve_equilibrium` returns.
+_EQUILIBRIUM_CACHE_CAP = 4096
+_EQUILIBRIUM_CACHE = _LruCache(_EQUILIBRIUM_CACHE_CAP)
 
 #: Cross-run cache of :class:`_RegimeTemplate` objects.  A template is
 #: a pure function of the (frozen) power/cache/memory models, dt, the
@@ -349,13 +350,6 @@ class _LoopState:
     last_phase: dict[str, int]
     equilibrium_memo: dict
     regime_templates: dict
-    #: Fleet-level template index shared by every row of one
-    #: :class:`~repro.sim.fleet_engine.FleetEngine` run (``None`` for
-    #: solo runs).  Sits between the per-run memo and the global LRU
-    #: cache: rows with identical ``(power model, cache, state,
-    #: phases)`` keys build one template instead of one each, and the
-    #: fleet's working set cannot be evicted mid-run.
-    shared_templates: dict | None
     #: Reusable planning-table scratch, keyed by row count.  Regimes
     #: overwrite every cell they read, so nothing carries over.
     series_buffers: dict
@@ -412,13 +406,13 @@ class _RegimeTemplate:
 class _RegimePlan:
     """One validated bulk regime, ready to execute.
 
-    Produced by :meth:`Engine._plan_regime`, consumed by
-    :meth:`Engine._run_regime` (scalar thermal integration) or by
-    :class:`repro.sim.fleet_engine.FleetEngine` (which integrates many
-    rows' thermal recurrences in one vectorized sweep).  ``series`` is
-    a view into the loop's scratch buffer: it stays valid only until
-    the next plan on the same loop, so a plan must be executed before
-    its row plans again.
+    Produced by :meth:`Engine._plan_regime` or the fleet engine's
+    batched planner, consumed by :meth:`Engine._integrate_regime`
+    (scalar thermal integration with series) or by
+    :class:`repro.sim.fleet_engine.FleetEngine`'s no-series pass over
+    its untraced rows.  ``series`` is a view into the loop's scratch
+    buffer: it stays valid only until the next plan on the same loop,
+    so a plan must be executed before its row plans again.
     """
 
     state: object
@@ -484,7 +478,6 @@ class Engine:
             # active phases); solve it once per combination and reuse.
             equilibrium_memo={},
             regime_templates={},
-            shared_templates=None,
             series_buffers={},
             core_plan=core_plan,
             gating_ids=set(core_plan.gating_task_ids),
@@ -540,9 +533,7 @@ class Engine:
                     solved[1],
                     solved[2],
                 )
-                if len(_EQUILIBRIUM_CACHE) >= _EQUILIBRIUM_CACHE_CAP:
-                    _EQUILIBRIUM_CACHE.clear()
-                _EQUILIBRIUM_CACHE[shared_key] = cached
+                _EQUILIBRIUM_CACHE.put(shared_key, cached)
             per_task = {
                 task.task_id: cached[0][position]
                 for position, task in enumerate(running)
@@ -783,13 +774,12 @@ class Engine:
     ) -> _RegimeTemplate:
         """Look up (or build) the template of the current regime.
 
-        Three levels, cheapest first: the per-run memo (keyed by the
-        run-local ``(frequency, task phases)``), the fleet-level shared
-        index when this loop belongs to a
-        :class:`~repro.sim.fleet_engine.FleetEngine` (rows with equal
-        device models and placements share one template per operating
-        point), and the global LRU cache.  A build populates all the
-        levels it missed.
+        Two levels, cheapest first: the per-run memo (keyed by the
+        run-local ``(frequency, task phases)``) and the global LRU
+        cache (:data:`_TEMPLATE_CACHE`, keyed by the device models,
+        operating point and placement), which is what rows of one
+        :class:`~repro.sim.fleet_engine.FleetEngine` run -- and
+        repeated runs -- share.  A build populates both.
         """
         key = (
             state.freq_hz,
@@ -807,15 +797,10 @@ class Engine:
                 tuple((task.core, task.current_phase) for task in running),
                 loop.core_plan.online_cores,
             )
-            shared = loop.shared_templates
-            template = None if shared is None else shared.get(shared_key)
+            template = _TEMPLATE_CACHE.get(shared_key)
             if template is None:
-                template = _TEMPLATE_CACHE.get(shared_key)
-                if template is None:
-                    template = self._build_template(loop, state, running)
-                    _TEMPLATE_CACHE.put(shared_key, template)
-                if shared is not None:
-                    shared[shared_key] = template
+                template = self._build_template(loop, state, running)
+                _TEMPLATE_CACHE.put(shared_key, template)
             loop.regime_templates[key] = template
         return template
 
@@ -1005,6 +990,18 @@ class Engine:
         regime = self._plan_regime(loop)
         if regime is None:
             return 0
+        self._integrate_regime(loop, regime)
+        return regime.n
+
+    def _integrate_regime(
+        self, loop: _LoopState, regime: _RegimePlan, decide: bool = True
+    ) -> None:
+        """Integrate one planned regime's thermal recurrence, then commit.
+
+        The scalar half of every bulk regime that keeps its per-step
+        series: the solo fast path's, and the fleet engine's traced
+        rows'.  ``decide`` is passed through to :meth:`_execute_plan`.
+        """
         template = regime.template
         dt = loop.dt
         leak_w, total_w, temp_c = self.device.thermal.integrate_regime(
@@ -1022,9 +1019,8 @@ class Engine:
             temperature_integral += temperature * dt
         self._execute_plan(
             loop, regime, leak_w, total_w, temp_c,
-            energy_j, temperature_integral,
+            energy_j, temperature_integral, decide=decide,
         )
-        return regime.n
 
     def _execute_plan(
         self,
@@ -1040,8 +1036,8 @@ class Engine:
         """Commit an integrated regime: tables, trace, decision point.
 
         ``leak_w`` / ``total_w`` / ``temp_c`` are the regime's thermal
-        series -- integrated scalar by :meth:`_run_regime` or across
-        rows by the fleet engine, bit-identical either way -- and
+        series from :meth:`_integrate_regime` (``None`` for the fleet
+        engine's untraced rows, whose series nothing reads), and
         ``energy_j`` / ``temperature_integral`` the accumulators
         already advanced over them.  The device's thermal state must
         already hold the regime's end temperature.

@@ -11,17 +11,18 @@ simulator's semantics:
   event-adjacent scalar work -- equilibrium solves, template building,
   single-step fallbacks, governor decisions -- so a fleet row runs
   exactly the regime-stepped fast path's code.
-* The expensive interior of each regime is executed across rows as
-  struct-of-arrays passes: each row's resumed cumulative-sum planning
-  table comes from :meth:`Engine._plan_regime`, and the per-step
-  thermal/leakage recurrences of *all* planned rows advance in one
-  vectorized sweep (:func:`repro.soc.numerics.integrate_thermal_rows`)
-  instead of one Python loop per device.
+* The interior of each regime is executed across rows: one batched
+  planner builds every plannable row's resumed cumulative-sum planning
+  table (rows sharing a step count share one grouped accumulate), and
+  the thermal/leakage recurrences of all untraced rows advance in one
+  no-series pass (:func:`repro.soc.numerics.advance_thermal_rows`).
+  Traced rows, which need the per-step series, commit through the solo
+  fast path's :meth:`Engine._integrate_regime`.
 
 Rows are fully independent -- no cross-row arithmetic ever happens --
 so heterogeneity costs nothing in correctness: a row that plans 50
-steps and a row that plans 7 share the same sweep, each reading only
-its own prefix.  The bit-exactness contract is the same as the fast
+steps and a row that plans 7 share the same passes, each reading only
+its own values.  The bit-exactness contract is the same as the fast
 path's: any row sliced out of a fleet run reproduces the single-device
 :class:`~repro.sim.engine.ReferenceEngine` result field-exactly
 (asserted by ``tests/sim/test_fleet_engine.py``).
@@ -48,11 +49,7 @@ from repro.sim.engine import (
     _RegimePlan,
 )
 from repro.sim.governor import Governor, RunContext
-from repro.soc.numerics import (
-    accumulate_rows,
-    advance_thermal_rows,
-    integrate_thermal_rows,
-)
+from repro.soc.numerics import accumulate_rows, advance_thermal_rows
 
 #: Below this many live rows the per-epoch NumPy passes cost more than
 #: they amortize, so the fleet finishes its stragglers through the solo
@@ -243,8 +240,7 @@ class FleetEngine:
     :meth:`Engine.run`'s loop -- a planned bulk regime, or one scalar
     step -- so a row's operation sequence is identical to running its
     engine alone.  All regimes planned in the same epoch are then
-    integrated in one cross-row thermal sweep and one shared pass over
-    their planning tables.
+    integrated and committed together (see :meth:`_execute_plans`).
 
     Args:
         rows: Fleet row specs to build engines from.
@@ -297,10 +293,6 @@ class FleetEngine:
         # Per-run working state, rebuilt at the top of every run().
         self._max_times: list[float] = []
         self._intervals: list[float] = []
-        self._dt_rows = np.empty(0)
-        self._decay_rows = np.empty(0)
-        self._ambient_rows = np.empty(0)
-        self._r_th_rows = np.empty(0)
         self._dt_list: list[float] = []
         self._decay_list: list[float] = []
         self._ambient_list: list[float] = []
@@ -314,13 +306,6 @@ class FleetEngine:
         """Simulate every row to completion; results in row order."""
         engines = self.engines
         loops = [engine._begin() for engine in engines]
-        # One fleet-level template index: rows with identical device
-        # models, operating points and phase placements share one
-        # _RegimeTemplate instead of building (or LRU-fetching) their
-        # own.
-        shared_templates: dict = {}
-        for loop in loops:
-            loop.shared_templates = shared_templates
         # Per-row run constants, hoisted out of the epoch loop.  The
         # decay factor is exp(-dt / tau) via math.exp, exactly as the
         # scalar thermal model computes it.
@@ -337,10 +322,6 @@ class FleetEngine:
         self._r_th_list = [
             engine.device.thermal.r_th_c_per_w for engine in engines
         ]
-        self._dt_rows = np.asarray(self._dt_list)
-        self._decay_rows = np.asarray(self._decay_list)
-        self._ambient_rows = np.asarray(self._ambient_list)
-        self._r_th_rows = np.asarray(self._r_th_list)
         self._record_rows = [engine.config.record_trace for engine in engines]
         self._chain_targets = [
             self._chain_target(engine) for engine in engines
@@ -813,32 +794,23 @@ class FleetEngine:
     ) -> None:
         """Integrate and commit one epoch's regimes across rows.
 
-        Rows that keep a trace need the full per-step thermal series
-        (the trace block is its only consumer), so they go through the
-        columnar sweep
-        (:func:`~repro.soc.numerics.integrate_thermal_rows`, sorted by
-        descending step count so the sweep walks a shrinking prefix of
-        live rows per column).  Untraced rows skip materializing the
-        series entirely and advance through the row-major no-series
-        recurrence (:func:`~repro.soc.numerics.advance_thermal_rows`).
-        Both run exactly the scalar
+        Untraced rows skip materializing the per-step series and
+        advance together through the row-major no-series recurrence
+        (:func:`~repro.soc.numerics.advance_thermal_rows`), which runs
+        exactly the scalar
         :meth:`~repro.soc.thermal.ThermalModel.integrate_regime`
         per-step order on exactly the per-row constants it would read,
         including the ``math.exp`` decay factor and the Eq. 5 leakage
-        term.  Due decision points are deferred past the write-backs
-        and taken as one batched governor-kernel pass
-        (:meth:`_decide_rows`).
+        term.  Rows that keep a trace need the full series (the trace
+        block is its only consumer), so they commit through the solo
+        fast path's own :meth:`Engine._integrate_regime`.  Due decision
+        points are deferred past the write-backs and taken as one
+        batched governor-kernel pass (:meth:`_decide_rows`).
         """
         clock = self._clock
         started = clock()
         record_rows = self._record_rows
-        trace_items: list[tuple[int, _RegimePlan, tuple | None]] = []
-        plain_items: list[tuple[int, _RegimePlan, tuple | None]] = []
-        for item in planned:
-            if record_rows[item[0]]:
-                trace_items.append(item)
-            else:
-                plain_items.append(item)
+        plain_items = [item for item in planned if not record_rows[item[0]]]
         if plain_items:
             counts = []
             non_leakage = []
@@ -887,93 +859,33 @@ class FleetEngine:
                 energy_j=energies,
                 temperature_integral=integrals,
             )
-        if trace_items:
-            trace_items.sort(key=lambda item: item[1].n, reverse=True)
-            # Run-constant per-row parameters gather through one fancy
-            # index each; only the regime- and state-dependent columns
-            # still gather in Python.
-            indices = np.fromiter(
-                (index for index, _regime, _commit in trace_items),
-                dtype=np.intp,
-                count=len(trace_items),
-            )
-            counts = []
-            non_leakage = []
-            rest = []
-            evaluators = []
-            temperatures = []
-            energies = []
-            integrals = []
-            for index, regime, _commit in trace_items:
-                loop = loops[index]
-                template = regime.template
-                counts.append(regime.n)
-                non_leakage.append(template.non_leakage_w)
-                rest.append(template.rest_of_device_w)
-                evaluators.append(template.leak_power_of_c)
-                temperatures.append(
-                    engines[index].device.thermal.soc_temperature_c
-                )
-                energies.append(loop.energy_j)
-                integrals.append(loop.temperature_integral)
-            leak_w, total_w, temp_c, final_t, final_e, final_i = (
-                integrate_thermal_rows(
-                    steps=counts,
-                    dt_s=self._dt_rows[indices],
-                    decay=self._decay_rows[indices],
-                    ambient_c=self._ambient_rows[indices],
-                    r_th_c_per_w=self._r_th_rows[indices],
-                    non_leakage_soc_w=non_leakage,
-                    rest_of_device_w=rest,
-                    leak_power_of_c=evaluators,
-                    temperature_c=temperatures,
-                    energy_j=energies,
-                    temperature_integral=integrals,
-                )
-            )
         now = clock()
         stage["thermal_sweep"] += now - started
         started = now
         decisions: list[tuple[int, object]] = []
-        for rank, (index, regime, commit) in enumerate(plain_items):
+        rank = 0
+        for index, regime, commit in planned:
             engine = engines[index]
             loop = loops[index]
-            engine.device.thermal.install_regime(
-                plain_t[rank], regime.template.per_core_power
-            )
             if commit is not None:
                 self._commit_chain(engine, loop, commit)
-            engine._execute_plan(
-                loop,
-                regime,
-                None,
-                None,
-                None,
-                plain_e[rank],
-                plain_i[rank],
-                decide=False,
-            )
-            if regime.decision_due:
-                decisions.append((index, regime.state))
-        for rank, (index, regime, commit) in enumerate(trace_items):
-            engine = engines[index]
-            loop = loops[index]
-            steps = regime.n
-            engine.device.thermal.install_regime(
-                float(final_t[rank]), regime.template.per_core_power
-            )
-            if commit is not None:
-                self._commit_chain(engine, loop, commit)
-            engine._execute_plan(
-                loop,
-                regime,
-                leak_w[rank, :steps],
-                total_w[rank, :steps],
-                temp_c[rank, :steps],
-                float(final_e[rank]),
-                float(final_i[rank]),
-                decide=False,
-            )
+            if record_rows[index]:
+                engine._integrate_regime(loop, regime, decide=False)
+            else:
+                engine.device.thermal.install_regime(
+                    plain_t[rank], regime.template.per_core_power
+                )
+                engine._execute_plan(
+                    loop,
+                    regime,
+                    None,
+                    None,
+                    None,
+                    plain_e[rank],
+                    plain_i[rank],
+                    decide=False,
+                )
+                rank += 1
             if regime.decision_due:
                 decisions.append((index, regime.state))
         now = clock()

@@ -29,11 +29,6 @@ from numpy.typing import ArrayLike
 
 from repro.soc.leakage import KELVIN_OFFSET
 
-#: Below this many live rows a thermal-sweep column runs through the
-#: scalar per-row recurrence instead of array ops (same expressions,
-#: same rounding; purely an execution-strategy switch).
-_SCALAR_TAIL_ROWS = 4
-
 
 def accumulate_rows(
     bases: ArrayLike,
@@ -104,13 +99,15 @@ def advance_thermal_rows(
 ) -> tuple[list[float], list[float], list[float]]:
     """Advance many thermal recurrences without materializing series.
 
-    The per-step ``leak_w`` / ``total_w`` / ``temp_c`` matrices of
-    :func:`integrate_thermal_rows` exist only to feed trace recording;
-    rows that do not record a trace need just the three advanced
-    accumulators.  This variant runs the identical scalar recurrence
-    (same expressions, same strictly sequential order, so the same
-    IEEE-754 roundings) row-major over plain Python floats, writing
-    nothing per step.
+    The per-step ``leak_w`` / ``total_w`` / ``temp_c`` series of
+    :meth:`repro.soc.thermal.ThermalModel.integrate_regime` exist only
+    to feed trace recording; rows that do not record a trace need just
+    the three advanced accumulators.  This runs the identical scalar
+    recurrence (same expressions, same strictly sequential order, so
+    the same IEEE-754 roundings) row-major over plain Python floats,
+    one row after another, writing nothing per step.  Rows are
+    independent, so heterogeneous ``dt`` / decay / ambient per row is
+    exact by construction.
 
     ``leak_constants[row]`` may carry the Equation 5 constants from
     :meth:`repro.soc.leakage.LeakageParameters.bound_constants`; the
@@ -181,168 +178,3 @@ def advance_thermal_rows(
         out_energy.append(energy)
         out_integral.append(integral)
     return out_temperature, out_energy, out_integral
-
-
-def integrate_thermal_rows(
-    steps: Sequence[int],
-    dt_s: ArrayLike,
-    decay: ArrayLike,
-    ambient_c: ArrayLike,
-    r_th_c_per_w: ArrayLike,
-    non_leakage_soc_w: ArrayLike,
-    rest_of_device_w: ArrayLike,
-    leak_power_of_c: Sequence[Callable[[float], float]],
-    temperature_c: ArrayLike,
-    energy_j: ArrayLike,
-    temperature_integral: ArrayLike,
-) -> tuple[
-    np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray
-]:
-    """Advance many devices' thermal/leakage recurrences in lockstep.
-
-    The struct-of-arrays counterpart of
-    :meth:`repro.soc.thermal.ThermalModel.integrate_regime`: each row
-    is one device inside its own constant-power regime, and every
-    per-step expression below is the *elementwise* image of the scalar
-    recurrence -- NumPy's float64 ``+ - * /`` round identically to
-    Python floats, so the per-row trajectories are bit-identical to
-    ``steps[row]`` scalar iterations.  The single exception is Eq. 5
-    leakage: ``np.exp`` (and C ``pow``) do not reproduce ``math.exp``
-    / ``float.__pow__`` bit for bit, so leakage is evaluated through
-    each row's own scalar closure at every step.
-
-    Rows are independent (no cross-row arithmetic ever happens), so
-    heterogeneous ``dt`` / decay / ambient per row is exact by
-    construction.  ``steps`` must be non-increasing: the sweep then
-    touches a shrinking prefix of rows per column, and a finished
-    row's state is never read or written again.
-
-    Args:
-        steps: Per-row step counts, sorted non-increasing, all >= 1.
-        dt_s: Per-row step durations.
-        decay: Per-row ``exp(-dt / tau)`` factors (computed by the
-            caller with ``math.exp``, as the scalar model does).
-        ambient_c: Per-row environment temperatures.
-        r_th_c_per_w: Per-row junction-to-environment resistances.
-        non_leakage_soc_w: Per-row constant ``dynamic + memory`` power.
-        rest_of_device_w: Per-row constant rest-of-device floors.
-        leak_power_of_c: Per-row ``temperature_c -> watts`` closures
-            (:meth:`~repro.soc.leakage.LeakageParameters.bound_evaluator`).
-        temperature_c: Per-row starting temperatures (not mutated).
-        energy_j: Per-row energy accumulators (not mutated).
-        temperature_integral: Per-row temperature-time accumulators
-            (not mutated).
-
-    Returns:
-        ``(leak_w, total_w, temp_c, temperature_c, energy_j,
-        temperature_integral)``: three ``(rows, max(steps))`` series
-        matrices (row ``r`` is meaningful up to column ``steps[r]``;
-        powers pre-step, temperatures post-step) and the three advanced
-        per-row state vectors.
-    """
-    counts = np.asarray(steps, dtype=np.int64)
-    rows = int(counts.shape[0])
-    if rows == 0:
-        empty_matrix = np.empty((0, 0), dtype=np.float64)
-        empty_vector = np.empty(0, dtype=np.float64)
-        return (
-            empty_matrix, empty_matrix, empty_matrix,
-            empty_vector, empty_vector, empty_vector,
-        )
-    if bool(np.any(counts[1:] > counts[:-1])):
-        raise ValueError("steps must be non-increasing")
-    if int(counts[-1]) < 1:
-        raise ValueError("every row needs at least one step")
-    width = int(counts[0])
-
-    dt = np.asarray(dt_s, dtype=np.float64)
-    decay_v = np.asarray(decay, dtype=np.float64)
-    ambient = np.asarray(ambient_c, dtype=np.float64)
-    r_th = np.asarray(r_th_c_per_w, dtype=np.float64)
-    non_leakage = np.asarray(non_leakage_soc_w, dtype=np.float64)
-    rest = np.asarray(rest_of_device_w, dtype=np.float64)
-    temperature = np.array(temperature_c, dtype=np.float64)
-    energy = np.array(energy_j, dtype=np.float64)
-    integral = np.array(temperature_integral, dtype=np.float64)
-
-    leak_w = np.empty((rows, width), dtype=np.float64)
-    total_w = np.empty((rows, width), dtype=np.float64)
-    temp_c = np.empty((rows, width), dtype=np.float64)
-    counts_list: list[int] = counts.tolist()
-    # Column scratch, reused across the whole sweep: every per-column
-    # elementwise op below writes into a preallocated buffer, so the
-    # loop allocates nothing.  Each expression is the same op on the
-    # same operands as the scalar recurrence, just with an explicit
-    # destination -- rounding is unchanged.
-    leak_buf = np.empty(rows, dtype=np.float64)
-    soc_buf = np.empty(rows, dtype=np.float64)
-    total_buf = np.empty(rows, dtype=np.float64)
-    work_buf = np.empty(rows, dtype=np.float64)
-    active = rows
-    column = 0
-    while column < width:
-        while counts_list[active - 1] <= column:
-            active -= 1
-        if active <= _SCALAR_TAIL_ROWS:
-            # Tail columns with only a few live rows (one long regime
-            # outlasting the rest of its epoch): per-column array-op
-            # overhead now exceeds the work, so each surviving row
-            # finishes through the plain scalar recurrence -- the
-            # identical per-step expressions, one row at a time.
-            break
-        before = temperature[:active]
-        # Leakage at the pre-step temperature, through each row's own
-        # scalar evaluator (see the docstring for why not np.exp).
-        leak = leak_buf[:active]
-        leak[:] = [
-            evaluate(value)
-            for evaluate, value in zip(leak_power_of_c, before.tolist())
-        ]
-        soc_w = np.add(non_leakage[:active], leak, out=soc_buf[:active])
-        total = np.add(soc_w, rest[:active], out=total_buf[:active])
-        leak_w[:active, column] = leak
-        total_w[:active, column] = total
-        work = np.multiply(total, dt[:active], out=work_buf[:active])
-        np.add(energy[:active], work, out=energy[:active])
-        target = np.multiply(soc_w, r_th[:active], out=soc_buf[:active])
-        np.add(ambient[:active], target, out=target)
-        diff = np.subtract(before, target, out=work_buf[:active])
-        np.multiply(diff, decay_v[:active], out=diff)
-        after = np.add(target, diff, out=temperature[:active])
-        temp_c[:active, column] = after
-        work = np.multiply(after, dt[:active], out=work_buf[:active])
-        np.add(integral[:active], work, out=integral[:active])
-        column += 1
-    if column < width:
-        dt_list: list[float] = dt.tolist()
-        decay_list: list[float] = decay_v.tolist()
-        ambient_list: list[float] = ambient.tolist()
-        r_th_list: list[float] = r_th.tolist()
-        non_leakage_list: list[float] = non_leakage.tolist()
-        rest_list: list[float] = rest.tolist()
-        for row in range(active):
-            value = float(temperature[row])
-            energy_row = float(energy[row])
-            integral_row = float(integral[row])
-            evaluate = leak_power_of_c[row]
-            dt_row = dt_list[row]
-            decay_row = decay_list[row]
-            ambient_row = ambient_list[row]
-            r_th_row = r_th_list[row]
-            non_leakage_row = non_leakage_list[row]
-            rest_row = rest_list[row]
-            for cell in range(column, counts_list[row]):
-                leak_value = evaluate(value)
-                soc_value = non_leakage_row + leak_value
-                total_value = soc_value + rest_row
-                leak_w[row, cell] = leak_value
-                total_w[row, cell] = total_value
-                energy_row += total_value * dt_row
-                target_value = ambient_row + soc_value * r_th_row
-                value = target_value + (value - target_value) * decay_row
-                temp_c[row, cell] = value
-                integral_row += value * dt_row
-            temperature[row] = value
-            energy[row] = energy_row
-            integral[row] = integral_row
-    return leak_w, total_w, temp_c, temperature, energy, integral

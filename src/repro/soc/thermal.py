@@ -189,10 +189,10 @@ class ThermalModel:
     ) -> None:
         """Install the end state of an externally integrated regime.
 
-        The fleet engine integrates the thermal recurrence of many
-        devices in one vectorized sweep
-        (:func:`repro.soc.numerics.integrate_thermal_rows`); this
-        applies one device's resulting state exactly as
+        The fleet engine advances the thermal recurrence of its
+        untraced rows together, without per-step series
+        (:func:`repro.soc.numerics.advance_thermal_rows`); this applies
+        one device's resulting state exactly as
         :meth:`integrate_regime` would have.
         """
         self.soc_temperature_c = temperature_c

@@ -146,6 +146,43 @@ class TestStorePartitioning:
         assert store.record_count() == 2
         assert store.torn_lines == 2
 
+    def test_reopened_writer_cuts_a_torn_tail(self, tmp_path):
+        store = TelemetryStore(tmp_path, fingerprint="cafe", batch_size=1)
+        with store.writer() as writer:
+            writer.append(_record(device="a"))
+            writer.append(_record(device="b"))
+        path = store.shard_path(0)
+        path.write_bytes(path.read_bytes()[:-7])
+        with store.writer() as writer:
+            writer.append(_record(device="c"))
+        devices = [record["device_id"] for record in store.iter_records()]
+        assert devices == ["a", "c"]
+        assert store.torn_lines == 0
+
+    def test_reopened_writer_terminates_a_complete_tail(self, tmp_path):
+        store = TelemetryStore(tmp_path, fingerprint="cafe", batch_size=1)
+        with store.writer() as writer:
+            writer.append(_record(device="a"))
+            writer.append(_record(device="b"))
+        path = store.shard_path(0)
+        path.write_bytes(path.read_bytes()[:-1])
+        assert [r["device_id"] for r in store.iter_records()] == ["a", "b"]
+        with store.writer() as writer:
+            writer.append(_record(device="c"))
+        devices = [record["device_id"] for record in store.iter_records()]
+        assert devices == ["a", "b", "c"]
+        assert store.torn_lines == 0
+
+    def test_reopened_writer_cuts_a_lone_torn_line(self, tmp_path):
+        store = TelemetryStore(tmp_path, fingerprint="cafe", batch_size=1)
+        path = store.shard_path(0)
+        path.write_text('{"device_id": "a", "pa')
+        with store.writer() as writer:
+            writer.append(_record(device="b"))
+        devices = [record["device_id"] for record in store.iter_records()]
+        assert devices == ["b"]
+        assert store.torn_lines == 0
+
     def test_corrupt_complete_line_is_an_error(self, tmp_path):
         store = TelemetryStore(tmp_path, fingerprint="cafe", batch_size=1)
         with store.writer() as writer:

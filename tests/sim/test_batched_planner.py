@@ -3,10 +3,12 @@
 ``test_fleet_engine.py`` anchors fleet rows to the ``ReferenceEngine``
 oracle; this module pins the *other* side of the tentpole contract:
 the batched planner (SoA event-distance estimate, grouped accumulate,
-chained no-op decisions, split thermal paths) must agree bit-for-bit
-with the scalar fast path -- the same rows run solo through
-:meth:`Engine._plan_regime` -- across random heterogeneous mixes,
-including the clamped planning-horizon and cooldown paths.
+chained no-op decisions) and its write-back (the no-series cross-row
+thermal pass for untraced rows, the solo
+:meth:`Engine._integrate_regime` for traced ones) must agree
+bit-for-bit with the scalar fast path -- the same rows run solo
+through :meth:`Engine._plan_regime` -- across random heterogeneous
+mixes, including the clamped planning-horizon and cooldown paths.
 """
 
 from dataclasses import replace

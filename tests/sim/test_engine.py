@@ -2,6 +2,7 @@
 
 import pytest
 
+import repro.sim.engine as engine_module
 from repro.browser.browser import browser_tasks
 from repro.browser.pages import page_by_name
 from repro.core.governors import FixedFrequencyGovernor
@@ -187,3 +188,37 @@ class TestGovernorInteraction:
         assert result.switch_count > 2
         assert result.switch_stall_s > 0.0
         assert result.switch_energy_j > 0.0
+
+
+class TestEquilibriumCache:
+    def test_overflow_keeps_the_most_recent_entries(self):
+        live = engine_module._EQUILIBRIUM_CACHE
+        assert isinstance(live, engine_module._LruCache)
+        assert live.capacity == 4096
+        # A same-sized twin, so the live working set is not evicted.
+        capacity = live.capacity
+        cache = engine_module._LruCache(capacity)
+        overflow = 10
+        for key in range(capacity + overflow):
+            cache.put(key, (key,))
+        assert len(cache) == capacity
+        assert cache.evictions == overflow
+        for key in range(overflow):
+            assert cache.get(key) is None
+        for key in range(overflow, capacity + overflow):
+            assert cache.get(key) == (key,)
+
+    def test_runs_stay_exact_when_the_cache_overflows(self, monkeypatch):
+        expected = _engine(kernel="backprop", trace=False).run()
+        # Fresh, tiny caches: every template build solves an
+        # equilibrium, and the equilibrium cache evicts mid-run.
+        monkeypatch.setattr(
+            engine_module, "_TEMPLATE_CACHE", engine_module._LruCache(2048)
+        )
+        cache = engine_module._LruCache(2)
+        monkeypatch.setattr(engine_module, "_EQUILIBRIUM_CACHE", cache)
+        result = _engine(kernel="backprop", trace=False).run()
+        assert cache.evictions > 0
+        assert len(cache) == 2
+        assert result.energy_j == expected.energy_j
+        assert result.load_time_s == expected.load_time_s

@@ -12,8 +12,8 @@ Two layers, mirroring ``test_engine_equivalence.py``:
 * A curated heterogeneous fleet (pages x co-runners x governors x
   ambients x dt, traces on) checked row by row against the oracle.
 * Hypothesis-driven random rows embedded in a mixed fleet, so each
-  random device shares its thermal sweeps with rows of *different*
-  regime lengths and step sizes.
+  random device shares its epochs' batched planning and thermal
+  passes with rows of *different* regime lengths and step sizes.
 """
 
 from contextlib import contextmanager

@@ -1,9 +1,9 @@
-"""Struct-of-arrays thermal sweep vs the scalar recurrence."""
+"""Cross-row thermal pass vs the scalar recurrence."""
 
 import pytest
 
 from repro.soc.leakage import nexus5_leakage_parameters
-from repro.soc.numerics import advance_thermal_rows, integrate_thermal_rows
+from repro.soc.numerics import advance_thermal_rows
 from repro.soc.thermal import ThermalModel
 
 
@@ -70,55 +70,8 @@ def kwargs():
     return values
 
 
-class TestIntegrateThermalRows:
-    def test_bit_identical_to_scalar_regimes(self, kwargs):
-        leak_w, total_w, temp_c, final_t, final_e, final_i = (
-            integrate_thermal_rows(**kwargs)
-        )
-        for row, expected in enumerate(_scalar_reference(kwargs)):
-            steps = kwargs["steps"][row]
-            exp_leak, exp_total, exp_temp, exp_t, exp_e, exp_i = expected
-            assert list(leak_w[row, :steps]) == exp_leak
-            assert list(total_w[row, :steps]) == exp_total
-            assert list(temp_c[row, :steps]) == exp_temp
-            assert float(final_t[row]) == exp_t
-            assert float(final_e[row]) == exp_e
-            assert float(final_i[row]) == exp_i
-
-    def test_inputs_are_not_mutated(self, kwargs):
-        temperature = list(kwargs["temperature_c"])
-        energy = list(kwargs["energy_j"])
-        integral = list(kwargs["temperature_integral"])
-        integrate_thermal_rows(**kwargs)
-        assert kwargs["temperature_c"] == temperature
-        assert kwargs["energy_j"] == energy
-        assert kwargs["temperature_integral"] == integral
-
-    def test_rejects_increasing_step_counts(self, kwargs):
-        kwargs["steps"] = [4, 7, 1]
-        with pytest.raises(ValueError, match="non-increasing"):
-            integrate_thermal_rows(**kwargs)
-
-    def test_rejects_empty_rows(self, kwargs):
-        kwargs["steps"] = [7, 4, 0]
-        with pytest.raises(ValueError, match="at least one step"):
-            integrate_thermal_rows(**kwargs)
-
-    def test_no_rows_returns_empty(self):
-        leak_w, total_w, temp_c, final_t, final_e, final_i = (
-            integrate_thermal_rows(
-                steps=[], dt_s=[], decay=[], ambient_c=[],
-                r_th_c_per_w=[], non_leakage_soc_w=[],
-                rest_of_device_w=[], leak_power_of_c=[],
-                temperature_c=[], energy_j=[], temperature_integral=[],
-            )
-        )
-        for value in (leak_w, total_w, temp_c, final_t, final_e, final_i):
-            assert value.size == 0
-
-
 class TestAdvanceThermalRows:
-    """The no-series row-major variant vs the column sweep."""
+    """The no-series row-major pass vs ThermalModel.integrate_regime."""
 
     @pytest.mark.parametrize("inline", [False, True])
     def test_finals_match_the_series_sweep(self, kwargs, inline):
@@ -135,15 +88,13 @@ class TestAdvanceThermalRows:
             leak_constants=constants,
             **{k: v for k, v in kwargs.items()},
         )
-        _l, _t, _c, final_t, final_e, final_i = integrate_thermal_rows(
-            **kwargs
-        )
-        assert finals[0] == [float(v) for v in final_t]
-        assert finals[1] == [float(v) for v in final_e]
-        assert finals[2] == [float(v) for v in final_i]
+        expected = _scalar_reference(kwargs)
+        assert finals[0] == [outcome[3] for outcome in expected]
+        assert finals[1] == [outcome[4] for outcome in expected]
+        assert finals[2] == [outcome[5] for outcome in expected]
 
     def test_accepts_any_row_order(self, kwargs):
-        """No sorted-steps requirement, unlike the column sweep."""
+        """Rows need no particular order of step counts."""
         order = [1, 2, 0]
         reordered = {
             key: [values[row] for row in order]
