@@ -76,6 +76,10 @@ def peek(name: str, key: Any) -> tuple[bool, Any]:
         ``(True, value)`` on a hit; ``(False, None)`` when the cache
         is disabled, the artifact is absent, or it fails to unpickle
         (the corrupt file is removed so the next build replaces it).
+        Any exception raised while loading counts as a miss: besides
+        truncated or garbled bytes, a stale artifact whose class moved
+        modules raises ``ModuleNotFoundError``, and keeping that file
+        would fail every later run the same way.
     """
     if not cache_enabled():
         return False, None
@@ -85,7 +89,7 @@ def peek(name: str, key: Any) -> tuple[bool, Any]:
     try:
         with path.open("rb") as handle:
             return True, pickle.load(handle)
-    except (OSError, pickle.UnpicklingError, EOFError, AttributeError):
+    except Exception:  # noqa: BLE001 - any unloadable artifact is a miss
         path.unlink(missing_ok=True)
         return False, None
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
@@ -32,8 +33,25 @@ class ResponseSurface(Enum):
     QUADRATIC = "quadratic"
 
 
+@lru_cache(maxsize=None)
+def _pair_indices(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Left and right feature indices of every ``i < j`` pair, row-major.
+
+    Read-only, since every caller with the same ``k`` shares them.
+    """
+    left, right = np.triu_indices(k, 1)
+    left.flags.writeable = right.flags.writeable = False
+    return left, right
+
+
 def _expand(z: np.ndarray, surface: ResponseSurface) -> np.ndarray:
     """Expand standardized rows into the surface's design matrix.
+
+    The columns are the intercept, ``z``, every ``i < j`` cross product
+    in row-major pair order, then ``z * z`` for the quadratic surface,
+    written into one preallocated C-contiguous array.  The layout
+    matters: :meth:`RegressionModel.predict_rows` sums each row
+    pairwise, and its bits depend on the row being contiguous.
 
     Args:
         z: Standardized inputs of shape (n, k).
@@ -43,17 +61,16 @@ def _expand(z: np.ndarray, surface: ResponseSurface) -> np.ndarray:
         Design matrix of shape (n, terms) including the intercept.
     """
     n, k = z.shape
-    columns = [np.ones((n, 1)), z]
-    if surface in (ResponseSurface.INTERACTION, ResponseSurface.QUADRATIC):
-        cross = [
-            (z[:, i] * z[:, j])[:, None]
-            for i in range(k)
-            for j in range(i + 1, k)
-        ]
-        columns.extend(cross)
-    if surface is ResponseSurface.QUADRATIC:
-        columns.append(z**2)
-    return np.hstack(columns)
+    design = np.empty((n, term_count(k, surface)))
+    design[:, 0] = 1.0
+    design[:, 1 : 1 + k] = z
+    if surface is not ResponseSurface.LINEAR:
+        left, right = _pair_indices(k)
+        end = 1 + k + left.size
+        design[:, 1 + k : end] = z[:, left] * z[:, right]
+        if surface is ResponseSurface.QUADRATIC:
+            design[:, end:] = z * z
+    return design
 
 
 def term_count(num_features: int, surface: ResponseSurface) -> int:

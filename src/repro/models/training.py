@@ -21,6 +21,7 @@ simulated equivalent:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -41,6 +42,7 @@ from repro.sim.engine import Engine, EngineConfig, RunResult
 from repro.sim.governor import RunContext
 from repro.sim.measurement import observe
 from repro.soc.device import Device, DeviceConfig
+from repro.soc.leakage import LeakageParameters
 from repro.workloads.kernels import kernel_by_name, kernel_task
 
 
@@ -287,16 +289,28 @@ def fit_leakage_from_calibration(
     The calibration grid covers every DVFS voltage and junction
     temperatures from 20 to 80 Celsius, observed with 2 % noise --
     standing in for the paper's leakage isolation on the bench.
+
+    Like the paper's one-off calibration, the fit runs once per
+    calibration: the result is memoized by value on the device's true
+    leakage parameters, its sorted DVFS voltages and ``seed``, so equal
+    calibrations share one (frozen) fitted model whichever
+    ``DeviceConfig`` object describes them.
     """
     device_config = device_config or DeviceConfig()
-    voltages = sorted(
-        {state.voltage_v for state in device_config.spec.dvfs_table}
+    voltages = tuple(
+        sorted({state.voltage_v for state in device_config.spec.dvfs_table})
     )
+    return _fit_calibration(device_config.power_model.leakage, voltages, seed)
+
+
+@lru_cache(maxsize=16)
+def _fit_calibration(
+    leakage: LeakageParameters, voltages: tuple[float, ...], seed: int
+) -> FittedLeakageModel:
+    """The uncached calibration fit behind :func:`fit_leakage_from_calibration`."""
     temperatures = [20.0 + 5.0 * i for i in range(13)]
     rng = np.random.default_rng(seed)
-    samples = calibration_samples(
-        device_config.power_model.leakage, voltages, temperatures, rng=rng
-    )
+    samples = calibration_samples(leakage, list(voltages), temperatures, rng=rng)
     return fit_leakage(samples)
 
 

@@ -43,6 +43,27 @@ class TestArtifactCache:
         rebuilt = artifact_cache.memoized("unit", ("k3",), lambda: "rebuilt")
         assert rebuilt == "rebuilt"
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            # A global whose module no longer exists (a moved class).
+            b"cnonexistent_module_xyz\nThing\n.",
+            # A protocol-2 header with an unsupported protocol number.
+            b"\x80\xff.",
+            # A BINUNICODE string whose bytes are not valid UTF-8.
+            b"X\x02\x00\x00\x00\xff\xfe.",
+        ],
+    )
+    def test_unloadable_artifact_is_a_miss_and_removed(self, payload):
+        path = artifact_cache.artifact_path("unit", ("k5",))
+        path.write_bytes(payload)
+        assert artifact_cache.peek("unit", ("k5",)) == (False, None)
+        assert not path.exists()
+        path.write_bytes(payload)
+        rebuilt = artifact_cache.memoized("unit", ("k5",), lambda: "rebuilt")
+        assert rebuilt == "rebuilt"
+        assert artifact_cache.peek("unit", ("k5",)) == (True, "rebuilt")
+
     def test_clear_removes_artifacts(self):
         artifact_cache.memoized("unit", ("k4",), lambda: 1)
         assert artifact_cache.clear() >= 1

@@ -2,12 +2,14 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.models.regression import (
     RegressionModel,
     ResponseSurface,
+    _expand,
     term_count,
 )
 
@@ -103,6 +105,55 @@ class TestTermCounts:
 
     def test_quadratic(self):
         assert term_count(9, ResponseSurface.QUADRATIC) == 10 + 36 + 9
+
+
+def _naive_expand(z, surface):
+    """Column-list oracle: one column per term, in the documented order."""
+    n, k = z.shape
+    columns = [np.ones(n)] + [z[:, i] for i in range(k)]
+    if surface is not ResponseSurface.LINEAR:
+        columns += [z[:, i] * z[:, j] for i in range(k) for j in range(i + 1, k)]
+    if surface is ResponseSurface.QUADRATIC:
+        columns += [z[:, i] * z[:, i] for i in range(k)]
+    return np.column_stack(columns)
+
+
+class TestExpansion:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        z=hnp.arrays(
+            np.float64,
+            st.tuples(st.integers(0, 12), st.integers(1, 9)),
+            elements=st.floats(-1e6, 1e6),
+        ),
+        surface=st.sampled_from(list(ResponseSurface)),
+    )
+    def test_matches_naive_column_oracle_bit_for_bit(self, z, surface):
+        expected = _naive_expand(z, surface)
+        design = _expand(z, surface)
+        assert design.dtype == np.float64
+        assert design.flags.c_contiguous
+        assert design.shape == (z.shape[0], term_count(z.shape[1], surface))
+        assert np.array_equal(design.view(np.uint64), expected.view(np.uint64))
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        rows=st.integers(2, 64),
+        surface=st.sampled_from(list(ResponseSurface)),
+    )
+    def test_predict_rows_is_batch_size_invariant(self, seed, rows, surface):
+        rng = np.random.default_rng(seed)
+        model = RegressionModel.fit(
+            rng.uniform(-2.0, 2.0, size=(60, 5)),
+            rng.uniform(1.0, 5.0, size=60),
+            surface,
+        )
+        batch = rng.uniform(-3.0, 3.0, size=(rows, 5))
+        stacked = model.predict_rows(batch)
+        for index in range(rows):
+            alone = model.predict_rows(batch[index : index + 1])
+            assert alone.view(np.uint64)[0] == stacked.view(np.uint64)[index]
 
 
 class TestRobustness:

@@ -4,18 +4,24 @@ Uses the session-scoped small campaign (three pages, four frequencies)
 so the whole file runs in seconds.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from repro.models import training
+from repro.models.leakage_fit import calibration_samples, fit_leakage
 from repro.models.training import (
     TrainingConfig,
     error_cdf,
+    fit_leakage_from_calibration,
     measure_once,
     overall_accuracy,
     page_error_summary,
     run_campaign,
     train_models,
 )
+from repro.soc.device import DeviceConfig
 from tests.conftest import SMALL_TRAINING
 
 
@@ -74,6 +80,78 @@ class TestTraining:
         for time_error, power_error in summary.values():
             assert 0.0 <= time_error < 0.2
             assert 0.0 <= power_error < 0.2
+
+
+def _uncached_fit(device_config, seed):
+    """The calibration fit recomputed from scratch, bypassing the memo."""
+    voltages = sorted({s.voltage_v for s in device_config.spec.dvfs_table})
+    temperatures = [20.0 + 5.0 * i for i in range(13)]
+    samples = calibration_samples(
+        device_config.power_model.leakage,
+        voltages,
+        temperatures,
+        rng=np.random.default_rng(seed),
+    )
+    return fit_leakage(samples)
+
+
+class TestLeakageCalibrationMemo:
+    @pytest.fixture
+    def fits(self, monkeypatch):
+        """Count the uncached fits run from an empty memo."""
+        calls = []
+        real = training.fit_leakage
+
+        def counting(samples):
+            calls.append(len(samples))
+            return real(samples)
+
+        monkeypatch.setattr(training, "fit_leakage", counting)
+        training._fit_calibration.cache_clear()
+        yield calls
+        training._fit_calibration.cache_clear()
+
+    def test_equal_calibrations_share_one_fit(self, fits):
+        first = fit_leakage_from_calibration()
+        assert fit_leakage_from_calibration(DeviceConfig()) is first
+        assert fit_leakage_from_calibration(DeviceConfig(), seed=77) is first
+        assert len(fits) == 1
+
+    def test_memoized_fit_equals_an_uncached_fit(self, fits):
+        fitted = fit_leakage_from_calibration(DeviceConfig(), seed=5)
+        assert fitted == _uncached_fit(DeviceConfig(), seed=5)
+
+    def test_each_changed_input_refits(self, fits):
+        base = DeviceConfig()
+        spec = base.spec
+        top = spec.dvfs_table[-1]
+        ladder = dataclasses.replace(
+            spec,
+            dvfs_table=spec.dvfs_table[:-1]
+            + (dataclasses.replace(top, voltage_v=top.voltage_v + 0.01),),
+        )
+        leakage = dataclasses.replace(
+            base.power_model.leakage, k1=base.power_model.leakage.k1 * 1.1
+        )
+        variants = [
+            (base, 78),
+            (
+                dataclasses.replace(
+                    base,
+                    power_model=dataclasses.replace(
+                        base.power_model, leakage=leakage
+                    ),
+                ),
+                77,
+            ),
+            (dataclasses.replace(base, spec=ladder), 77),
+        ]
+        reference = fit_leakage_from_calibration(base)
+        for config, seed in variants:
+            fitted = fit_leakage_from_calibration(config, seed=seed)
+            assert fitted is not reference
+            assert fitted == _uncached_fit(config, seed)
+        assert len(fits) == 1 + len(variants)
 
 
 class TestErrorCdf:
