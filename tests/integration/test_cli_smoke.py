@@ -3,7 +3,8 @@
 Unlike the end-to-end CLI tests (which assert on specific command
 output), these just drive each command with tiny configurations and a
 temporary cache directory -- the "does the wiring hold together"
-check, covering ``list``, ``run``, ``sweep`` and ``serve-bench``.
+check, covering ``list``, ``run``, ``sweep`` and every ``*-bench``
+command.
 """
 
 import json
@@ -44,22 +45,42 @@ def test_sweep_smoke(capsys):
     assert "fopt=" in capsys.readouterr().out
 
 
-def test_serve_bench_smoke(capsys, tmp_path):
-    output = tmp_path / "BENCH_serve.json"
-    code = main([
-        "serve-bench", "--smoke",
-        "--devices", "4", "--requests", "64",
-        "--batch-size", "16", "--qps", "50000",
-        "--output", str(output),
-    ])
+#: Tiny argument lists for every bench command: each exercises the
+#: command's whole pipeline and record writer in a couple of seconds.
+_SERVE_SMOKE = [
+    "--smoke", "--devices", "4", "--requests", "64",
+    "--batch-size", "16", "--qps", "50000",
+]
+BENCH_SMOKE_ARGS = {
+    "sim-bench": ["--smoke", "--repeats", "1"],
+    "fleetsim-bench": ["--rows", "4", "--repeats", "1"],
+    "serve-bench": _SERVE_SMOKE,
+    "fleet-bench": [*_SERVE_SMOKE, "--workers", "2"],
+    "swap-bench": [
+        "--smoke", "--devices", "4", "--requests", "64",
+        "--revisit-period", "4", "--shards", "2",
+    ],
+}
+
+
+@pytest.mark.parametrize("command", sorted(BENCH_SMOKE_ARGS))
+def test_bench_command_smoke(command, capsys, tmp_path):
+    output = tmp_path / "BENCH.json"
+    argv = [command, *BENCH_SMOKE_ARGS[command], "--output", str(output)]
+    if command == "swap-bench":
+        argv += ["--work-dir", str(tmp_path / "swap-work")]
+    code = main(argv)
     out = capsys.readouterr().out
     assert code == 0
-    assert "throughput" in out
-    assert "0 fopt mismatches" in out
+    assert f"wrote {output}" in out
     record = json.loads(output.read_text())
-    assert record["fopt_mismatches"] == 0
-    assert record["requests"] == 64
-    assert record["throughput_rps"] > 0
+    assert record["envelope"]["command"] == command
+    if command == "serve-bench":
+        assert "throughput" in out
+        assert "0 fopt mismatches" in out
+        assert record["fopt_mismatches"] == 0
+        assert record["requests"] == 64
+        assert record["throughput_rps"] > 0
 
 
 def test_serve_bench_is_registered():
