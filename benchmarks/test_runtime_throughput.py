@@ -2,20 +2,20 @@
 
 Times a six-combo suite evaluation cold (``REPRO_NO_CACHE=1``) both
 serially and over four workers, records the measured speedup in
-``BENCH_runtime.json`` at the repo root, and — on machines with
-enough cores to make the bar meaningful — asserts the >= 2.5x
-acceptance threshold.
+``BENCH_runtime.json`` at the repo root (through
+:func:`repro.bench.write_record`, so it carries the shared envelope),
+and — on machines with enough cores to make the bar meaningful —
+asserts the >= 2.5x acceptance threshold.
 """
 
 from __future__ import annotations
 
-import json
 import os
-import time
 from pathlib import Path
 
 import pytest
 
+from repro.bench import timed, write_record
 from repro.experiments.harness import HarnessConfig, evaluate_suite
 from repro.experiments.suite import WorkloadCombo
 from repro.models.training import TrainingConfig, run_campaign, train_models
@@ -47,26 +47,23 @@ def bench_predictor():
     return train_models(run_campaign(training)).predictor
 
 
-def _timed_suite(predictor, config, workers):
-    start = time.perf_counter()
-    results = evaluate_suite(
-        predictor, combos=SIX_COMBOS, governors=GOVERNORS,
-        config=config, workers=workers,
-    )
-    return time.perf_counter() - start, results
-
-
 def test_parallel_suite_throughput(bench_predictor, monkeypatch):
     monkeypatch.setenv("REPRO_NO_CACHE", "1")  # cold cache in both runs
     monkeypatch.delenv("REPRO_WORKERS", raising=False)
     config = HarnessConfig(dt_s=0.004)
     workers = 4
 
-    serial_s, serial = _timed_suite(bench_predictor, config, workers=0)
-    parallel_s, parallel = _timed_suite(bench_predictor, config, workers=workers)
+    def suite(count):
+        return evaluate_suite(
+            bench_predictor, combos=SIX_COMBOS, governors=GOVERNORS,
+            config=config, workers=count,
+        )
+
+    serial_s, serial = timed(lambda: suite(0))
+    parallel_s, parallel = timed(lambda: suite(workers))
     speedup = serial_s / parallel_s if parallel_s > 0 else float("inf")
 
-    record = {
+    payload = {
         "combos": len(SIX_COMBOS),
         "governors": list(GOVERNORS),
         "dt_s": config.dt_s,
@@ -76,7 +73,7 @@ def test_parallel_suite_throughput(bench_predictor, monkeypatch):
         "workers": workers,
         "cpu_count": os.cpu_count(),
     }
-    BENCH_PATH.write_text(json.dumps(record, indent=2) + "\n")
+    write_record("runtime-bench", payload, BENCH_PATH, repeats=1)
 
     # Parallelism must never change the numbers.
     for lhs, rhs in zip(serial, parallel):

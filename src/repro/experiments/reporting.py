@@ -4,88 +4,11 @@ Every figure generator in :mod:`repro.experiments.figures` returns a
 structured result; the functions here turn those into aligned text
 tables so the benchmark harness can print exactly the rows/series the
 paper reports.
-
-This module also owns :func:`bench_envelope`, the provenance block
-every benchmark JSON report (`serve-bench`, `fleet-bench`, `sim-bench`,
-`swap-bench`) attaches under its ``"envelope"`` key -- one schema
-instead of per-command ad-hoc metadata.
 """
 
 from __future__ import annotations
 
-import os
-import subprocess
-import sys
-from typing import Any, Iterable, Sequence
-
-#: Schema tag of the shared benchmark-report envelope.
-BENCH_ENVELOPE_SCHEMA = "repro-bench-envelope/1"
-
-
-def git_revision() -> str:
-    """The repo's HEAD commit hash, or ``"unknown"`` outside a checkout."""
-    try:
-        out = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
-            cwd=os.path.dirname(os.path.abspath(__file__)),
-            capture_output=True,
-            text=True,
-            timeout=10.0,
-            check=False,
-        )
-    except (OSError, subprocess.SubprocessError):
-        return "unknown"
-    revision = out.stdout.strip()
-    return revision if out.returncode == 0 and revision else "unknown"
-
-
-def bench_envelope(
-    command: str, repeats: int = 1, extra: dict[str, Any] | None = None
-) -> dict[str, Any]:
-    """The shared provenance envelope of one benchmark report.
-
-    Attached as the report's ``"envelope"`` key (payload keys stay
-    top-level, so existing consumers keep reading the same shapes).
-
-    Args:
-        command: The bench command name (``"serve-bench"`` etc.).
-        repeats: Timed repetitions the report's numbers were taken
-            over (best-of semantics are the command's business).
-        extra: Optional command-specific additions merged in last.
-
-    Returns:
-        ``{"schema", "command", "git_sha", "calibration",
-        "host_cpu_count", "degraded_host", "repeats", ...extra}``;
-        ``calibration`` is
-        :func:`repro.experiments.fingerprint.calibration_identity`.
-        ``degraded_host`` is true on single-CPU hosts, where
-        concurrency and vectorization speedups are structurally
-        unavailable -- comparisons against multi-core acceptance bars
-        (e.g. a sub-1.0 "speedup" in ``BENCH_runtime.json``) must not
-        be read as regressions.
-    """
-    from repro.experiments.fingerprint import calibration_identity
-
-    cpu_count = os.cpu_count() or 1
-    degraded = cpu_count == 1
-    if degraded:
-        print(
-            f"warning: {command}: single-CPU host -- marking the bench "
-            "envelope degraded_host; speedup bars do not apply here",
-            file=sys.stderr,
-        )
-    envelope: dict[str, Any] = {
-        "schema": BENCH_ENVELOPE_SCHEMA,
-        "command": command,
-        "git_sha": git_revision(),
-        "calibration": calibration_identity(),
-        "host_cpu_count": cpu_count,
-        "degraded_host": degraded,
-        "repeats": repeats,
-    }
-    if extra:
-        envelope.update(extra)
-    return envelope
+from typing import Iterable, Sequence
 
 
 def format_table(

@@ -21,11 +21,10 @@ Used by ``benchmarks/test_engine_throughput.py`` (writes
 
 from __future__ import annotations
 
-import json
-import time
 from dataclasses import dataclass
 from pathlib import Path
 
+from repro.bench import assert_same_results, best_of, write_record
 from repro.browser.browser import browser_tasks
 from repro.browser.pages import page_by_name
 from repro.core.governors import (
@@ -144,52 +143,29 @@ def _build_engine(cls, case: BenchCase):
     )
 
 
-def _assert_equivalent(case: BenchCase, ref, fast) -> None:
-    """Cheap cross-check that both engines agree on this case.
+def _time_case(case: BenchCase, repeats: int) -> tuple[int, float, float, float]:
+    """Best-of-``repeats`` build and run wall times of both engines.
 
-    The exhaustive bit-identity suite lives in the tests; here we
-    compare the result scalars that would drift first if the fast path
-    diverged.
+    Returns ``(steps, build_s, ref_s, fast_s)``.  ``build_s`` is the
+    fast engine's construction (the reference is built by the same
+    code); a page's one-off generation and style match are memoized
+    per process, so only the first round of the first case touching a
+    page pays them, and best-of drops that round.  ``run()`` resets
+    the device, tasks and governor, so each engine is then timed
+    repeatedly on its fastest build, in alternating rounds so
+    background load drift cancels out of the ratio.  The warmup runs
+    double as the equivalence check.
     """
-    for name in (
-        "load_time_s", "duration_s", "energy_j", "switch_count",
-        "switch_stall_s", "final_temperature_c", "avg_temperature_c",
-    ):
-        if getattr(ref, name) != getattr(fast, name):
-            raise AssertionError(
-                f"{case.label}: engines disagree on {name}: "
-                f"{getattr(ref, name)!r} != {getattr(fast, name)!r}"
-            )
-
-
-def _time_case(case: BenchCase, repeats: int) -> tuple[int, float, float]:
-    """Best-of-``repeats`` wall times of both engines on one case.
-
-    Returns ``(steps, ref_s, fast_s)``.  Two deliberate choices keep
-    the numbers stable on a shared machine:
-
-    * ``run()`` resets the device, tasks and governor, so each engine
-      is built once and timed repeatedly; rebuilding per repeat would
-      bury the timing in workload construction (DOM/CSS matching)
-      noise.  The warmup runs double as the equivalence check.
-    * The engines are timed in alternating rounds, so background load
-      drift hits both and cancels out of the ratio.
-    """
-    ref_engine = _build_engine(ReferenceEngine, case)
-    fast_engine = _build_engine(Engine, case)
+    (build_s, fast_engine), (_, ref_engine) = best_of(
+        repeats,
+        lambda: _build_engine(Engine, case),
+        lambda: _build_engine(ReferenceEngine, case),
+    )
     ref_result = ref_engine.run()
-    fast_result = fast_engine.run()
-    _assert_equivalent(case, ref_result, fast_result)
-    ref_best = fast_best = float("inf")
-    for _ in range(max(1, repeats)):
-        started = time.perf_counter()
-        ref_engine.run()
-        ref_best = min(ref_best, time.perf_counter() - started)
-        started = time.perf_counter()
-        fast_engine.run()
-        fast_best = min(fast_best, time.perf_counter() - started)
+    assert_same_results(case.label, [ref_result], [fast_engine.run()])
+    (ref_s, _), (fast_s, _) = best_of(repeats, ref_engine.run, fast_engine.run)
     steps = int(round(ref_result.duration_s / case.dt_s))
-    return steps, ref_best, fast_best
+    return steps, build_s, ref_s, fast_s
 
 
 def run_engine_bench(
@@ -205,14 +181,15 @@ def run_engine_bench(
         output_path: Optional JSON destination (``BENCH_engine.json``).
 
     Returns:
-        The bench record: per-case timings plus ``campaign`` and
-        ``overall`` aggregates, each with the end-to-end speedup
-        (total reference time over total fast time).
+        The bench record: per-case build (``build_ms``) and run
+        timings plus ``campaign`` and ``overall`` aggregates, each
+        with the run speedup (total reference run time over total
+        fast run time).
     """
     cases = cases if cases is not None else standard_campaign_slice()
     rows = []
     for case in cases:
-        steps, ref_s, fast_s = _time_case(case, repeats)
+        steps, build_s, ref_s, fast_s = _time_case(case, repeats)
         rows.append(
             {
                 "label": case.label,
@@ -221,6 +198,7 @@ def run_engine_bench(
                 "record_trace": case.record_trace,
                 "campaign": case.campaign,
                 "steps": steps,
+                "build_ms": build_s * 1e3,
                 "ref_ms": ref_s * 1e3,
                 "fast_ms": fast_s * 1e3,
                 "speedup": ref_s / fast_s,
@@ -237,17 +215,10 @@ def run_engine_bench(
             "speedup": (ref_ms / fast_ms) if fast_ms else 0.0,
         }
 
-    from repro.experiments.reporting import bench_envelope
-
-    record = {
-        "envelope": bench_envelope("sim-bench", repeats=repeats),
+    payload = {
         "repeats": repeats,
         "cases": rows,
         "campaign": aggregate([row for row in rows if row["campaign"]]),
         "overall": aggregate(rows),
     }
-    if output_path is not None:
-        path = Path(output_path)
-        path.write_text(json.dumps(record, indent=2) + "\n")
-        record["output_path"] = str(path)
-    return record
+    return write_record("sim-bench", payload, output_path, repeats)

@@ -5,7 +5,8 @@ per-device loop (one fast :class:`~repro.sim.engine.Engine` ``run()``
 per row) on deterministic heterogeneous fleets
 (:func:`~repro.sim.fleet_engine.heterogeneous_fleet`) of increasing
 size, reporting rows-per-second and the fleet-over-loop speedup at
-each row count.
+each row count, plus both sides' build times and the end-to-end
+speedup over build plus run.
 
 Both sides simulate *identical* devices, and every timed pairing is
 also checked for field-exact result equality -- the speedup is only
@@ -32,12 +33,10 @@ Used by ``benchmarks/test_fleetsim_throughput.py`` (writes
 
 from __future__ import annotations
 
-import json
-import time
 from pathlib import Path
-from typing import Sequence
+from typing import Any, Sequence
 
-from repro.sim.engine import RunResult
+from repro.bench import assert_same_results, best_of, wall_clock, write_record
 from repro.sim.fleet_engine import (
     FleetEngine,
     build_row_engine,
@@ -51,70 +50,52 @@ STANDARD_ROW_COUNTS = (64, 256)
 #: CI-sized configuration (seconds, not minutes).
 SMOKE_ROW_COUNTS = (16,)
 
-_CHECKED_FIELDS = (
-    "load_time_s", "duration_s", "energy_j", "switch_count",
-    "switch_stall_s", "final_temperature_c", "avg_temperature_c",
-)
 
+def _time_fleet(rows: int, seed: int, repeats: int) -> dict[str, Any]:
+    """Best-of-``repeats`` build and run wall times at one row count.
 
-def _assert_rows_equivalent(
-    fleet: Sequence[RunResult], solo: Sequence[RunResult]
-) -> None:
-    """Cheap cross-check that fleet rows match their solo runs.
-
-    Compares the result scalars that would drift first if the fleet
-    sweep diverged; the exhaustive bit-identity suite (including trace
-    columns and the ``ReferenceEngine`` oracle) lives in the tests.
-    """
-    if len(fleet) != len(solo):
-        raise AssertionError(
-            f"row count mismatch: fleet={len(fleet)} solo={len(solo)}"
-        )
-    for row, (ours, theirs) in enumerate(zip(fleet, solo)):
-        for name in _CHECKED_FIELDS:
-            if getattr(ours, name) != getattr(theirs, name):
-                raise AssertionError(
-                    f"row {row}: fleet and per-device engines disagree "
-                    f"on {name}: {getattr(ours, name)!r} != "
-                    f"{getattr(theirs, name)!r}"
-                )
-
-
-def _time_fleet(
-    rows: int, seed: int, repeats: int
-) -> tuple[float, float, dict[str, float]]:
-    """Best-of-``repeats`` wall times at one row count.
-
-    Returns ``(solo_s, fleet_s, stage_seconds)``.  Mirrors
-    ``sim/bench.py``: engines are built once and timed repeatedly
-    (``run()`` resets all state; rebuilding would bury the timing in
-    workload-construction noise), the warmup runs double as the
-    equivalence check, and the two sides alternate so background load
-    drift cancels out of the ratio.  ``stage_seconds`` is the
-    per-stage breakdown (:data:`repro.sim.fleet_engine._STAGES`) of
-    the *fastest* fleet run, so a throughput regression in
-    ``BENCH_fleetsim.json`` is attributable to a pipeline stage.
+    Mirrors ``sim/bench.py``: both sides are built in alternating
+    best-of rounds, then timed repeatedly on their fastest builds
+    (``run()`` resets all state), with the warmup runs doubling as the
+    equivalence check.  ``stage_ms`` is the per-stage breakdown
+    (:data:`repro.sim.fleet_engine._STAGES`) of the *fastest* fleet
+    run, so a throughput regression in ``BENCH_fleetsim.json`` is
+    attributable to a pipeline stage.
     """
     specs = heterogeneous_fleet(rows, seed=seed)
-    fleet_engine = FleetEngine(rows=specs, clock=time.perf_counter)
-    solo_engines = [build_row_engine(spec) for spec in specs]
-    fleet_results = fleet_engine.run()
-    solo_results = [engine.run() for engine in solo_engines]
-    _assert_rows_equivalent(fleet_results, solo_results)
-    solo_best = fleet_best = float("inf")
-    stage_seconds = dict(fleet_engine.stage_seconds)
-    for _ in range(max(1, repeats)):
-        started = time.perf_counter()
-        for engine in solo_engines:
-            engine.run()
-        solo_best = min(solo_best, time.perf_counter() - started)
-        started = time.perf_counter()
+    (solo_build_s, solo_engines), (fleet_build_s, fleet_engine) = best_of(
+        repeats,
+        lambda: [build_row_engine(spec) for spec in specs],
+        lambda: FleetEngine(rows=specs, clock=wall_clock),
+    )
+    assert_same_results(
+        f"fleet of {rows}",
+        [engine.run() for engine in solo_engines],
+        fleet_engine.run(),
+    )
+
+    def run_fleet() -> dict[str, float]:
         fleet_engine.run()
-        elapsed = time.perf_counter() - started
-        if elapsed < fleet_best:
-            fleet_best = elapsed
-            stage_seconds = dict(fleet_engine.stage_seconds)
-    return solo_best, fleet_best, stage_seconds
+        return dict(fleet_engine.stage_seconds)
+
+    (solo_s, _), (fleet_s, stage_seconds) = best_of(
+        repeats, lambda: [engine.run() for engine in solo_engines], run_fleet
+    )
+    return {
+        "rows": rows,
+        "solo_build_ms": solo_build_s * 1e3,
+        "fleet_build_ms": fleet_build_s * 1e3,
+        "solo_ms": solo_s * 1e3,
+        "fleet_ms": fleet_s * 1e3,
+        "solo_rows_per_s": rows / solo_s,
+        "fleet_rows_per_s": rows / fleet_s,
+        "speedup": solo_s / fleet_s,
+        "end_to_end_speedup": (solo_build_s + solo_s)
+        / (fleet_build_s + fleet_s),
+        "stage_ms": {
+            stage: seconds * 1e3 for stage, seconds in stage_seconds.items()
+        },
+    }
 
 
 def run_fleetsim_bench(
@@ -135,50 +116,29 @@ def run_fleetsim_bench(
             (``BENCH_fleetsim.json``).
 
     Returns:
-        The bench record: one entry per row count with both wall
-        times, rows-per-second on each side, and the fleet-over-loop
-        speedup; ``peak`` repeats the largest row count's entry.
+        The bench record: one entry per row count with both sides'
+        build and run wall times, rows-per-second, the fleet-over-loop
+        run ``speedup`` and the ``end_to_end_speedup`` over build plus
+        run; ``peak`` repeats the largest row count's entry.
     """
     counts = tuple(row_counts) if row_counts is not None else STANDARD_ROW_COUNTS
     if not counts:
         raise ValueError("need at least one row count")
-    entries = []
-    for rows in counts:
-        solo_s, fleet_s, stage_seconds = _time_fleet(rows, seed, repeats)
-        entries.append(
-            {
-                "rows": rows,
-                "solo_ms": solo_s * 1e3,
-                "fleet_ms": fleet_s * 1e3,
-                "solo_rows_per_s": rows / solo_s,
-                "fleet_rows_per_s": rows / fleet_s,
-                "speedup": solo_s / fleet_s,
-                "stage_ms": {
-                    stage: seconds * 1e3
-                    for stage, seconds in stage_seconds.items()
-                },
-            }
-        )
-
-    from repro.experiments.reporting import bench_envelope
-
+    entries = [_time_fleet(rows, seed, repeats) for rows in counts]
     peak = max(entries, key=lambda entry: entry["rows"])
-    record = {
-        "envelope": bench_envelope(
-            "fleetsim-bench",
-            repeats=repeats,
-            extra={"peak_stage_ms": peak["stage_ms"]},
-        ),
+    payload = {
         "repeats": repeats,
         "seed": seed,
         "row_counts": entries,
         "peak": peak,
     }
-    if output_path is not None:
-        path = Path(output_path)
-        path.write_text(json.dumps(record, indent=2) + "\n")
-        record["output_path"] = str(path)
-    return record
+    return write_record(
+        "fleetsim-bench",
+        payload,
+        output_path,
+        repeats,
+        extra={"peak_stage_ms": peak["stage_ms"]},
+    )
 
 
 __all__ = [
