@@ -42,9 +42,10 @@ def test_fast_engine_throughput():
     # The record is a complete, plottable artifact.
     assert record["overall"]["cases"] == len(standard_campaign_slice())
     for row in record["cases"]:
-        for key in ("label", "governor", "steps", "ref_ms", "fast_ms",
-                    "speedup"):
+        for key in ("label", "governor", "steps", "build_ms", "ref_ms",
+                    "fast_ms", "speedup"):
             assert key in row
         assert row["steps"] > 0
+        assert row["build_ms"] > 0
         assert row["fast_ms"] > 0
     assert result["campaign"]["speedup"] == campaign["speedup"]

@@ -77,9 +77,12 @@ def test_fleetsim_throughput():
     assert "degraded_host" in record["envelope"]
     for row in record["row_counts"]:
         for key in ("rows", "solo_ms", "fleet_ms", "solo_rows_per_s",
-                    "fleet_rows_per_s", "speedup", "stage_ms"):
+                    "fleet_rows_per_s", "speedup", "stage_ms",
+                    "solo_build_ms", "fleet_build_ms", "end_to_end_speedup"):
             assert key in row
         assert row["fleet_ms"] > 0
+        assert row["solo_build_ms"] > 0
+        assert row["fleet_build_ms"] > 0
         assert row["fleet_rows_per_s"] > 0
         # The stage breakdown is complete, non-negative, and accounts
         # for a meaningful share of the fleet wall time (the epoch
